@@ -3,7 +3,6 @@ package experiment
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"utilbp/internal/core"
 	"utilbp/internal/scenario"
@@ -73,33 +72,25 @@ func ablationSpecs() []ablationSpec {
 }
 
 // Ablations runs the full UTIL-BP and every single-mechanism ablation on
-// one pattern, in parallel, and reports the degradation each removal
-// causes. The first returned row is the full algorithm (degradation 0).
+// one pattern, on the pooled sweep scheduler, and reports the
+// degradation each removal causes. The first returned row is the full
+// algorithm (degradation 0).
 func Ablations(setup scenario.Setup, pattern scenario.Pattern, durationSec float64) ([]AblationRow, error) {
-	specs := ablationSpecs()
-	rows := make([]AblationRow, len(specs)+1)
-	errs := make([]error, len(specs)+1)
-	var wg sync.WaitGroup
-	run := func(i int, factory signal.Factory, name, desc string) {
-		defer wg.Done()
-		res, err := Run(Spec{Setup: setup, Pattern: pattern, Factory: factory, DurationSec: durationSec})
+	specs := append([]ablationSpec{{
+		name:        "full UTIL-BP",
+		description: "the complete algorithm",
+		factory:     scenario.Setup.UtilBP,
+	}}, ablationSpecs()...)
+	rows, err := sweepCells(pooled, len(specs), nil, func(_ struct{}, i int) (AblationRow, error) {
+		s := specs[i]
+		res, err := Run(Spec{Setup: setup, Pattern: pattern, Factory: s.factory(setup), DurationSec: durationSec})
 		if err != nil {
-			errs[i] = fmt.Errorf("experiment: ablation %s: %w", name, err)
-			return
+			return AblationRow{}, fmt.Errorf("experiment: ablation %s: %w", s.name, err)
 		}
-		rows[i] = AblationRow{Name: name, Description: desc, MeanWait: res.Summary.MeanWait}
-	}
-	wg.Add(1)
-	go run(0, setup.UtilBP(), "full UTIL-BP", "the complete algorithm")
-	for i, spec := range specs {
-		wg.Add(1)
-		go run(i+1, spec.factory(setup), spec.name, spec.description)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+		return AblationRow{Name: s.name, Description: s.description, MeanWait: res.Summary.MeanWait}, nil
+	}, func(i int) cellTags { return cellTags{pattern.String(), specs[i].name, setup.Sensor.String()} })
+	if err != nil {
+		return nil, err
 	}
 	base := rows[0].MeanWait
 	if base > 0 {

@@ -2,8 +2,7 @@ package experiment
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
+	"strconv"
 
 	"utilbp/internal/chaos"
 )
@@ -13,39 +12,23 @@ import (
 // starting at firstSeed — each a random-but-valid disruption schedule
 // crossed with a random grid, controller family and sensor — asserting
 // invariants, snapshot/restore equivalence and Reset replay per
-// scenario. Scenarios are independent, so they run on a GOMAXPROCS
-// pool; the returned descriptions are in seed order. Use it to soak
-// far past the CI fuzz smoke's budget:
+// scenario. Scenarios are independent cells of the pooled sweep
+// scheduler, which stops at the first failing seed; the returned
+// descriptions are in seed order. Use it to soak far past the CI fuzz
+// smoke's budget:
 //
 //	descs, err := experiment.ChaosSweep(1, 10000)
 func ChaosSweep(firstSeed uint64, n int) ([]string, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("experiment: ChaosSweep needs n > 0 scenarios, got %d", n)
 	}
-	descs := make([]string, n)
-	errs := make([]error, n)
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			sc, err := chaos.Generate(firstSeed + uint64(i))
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			descs[i] = sc.Describe()
-			errs[i] = chaos.Drill(sc)
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
+	return sweepCells(pooled, n, nil, func(_ struct{}, i int) (string, error) {
+		sc, err := chaos.Generate(firstSeed + uint64(i))
 		if err != nil {
-			return nil, err
+			return "", err
 		}
-	}
-	return descs, nil
+		return sc.Describe(), chaos.Drill(sc)
+	}, func(i int) cellTags {
+		return cellTags{workload: "chaos seed " + strconv.FormatUint(firstSeed+uint64(i), 10)}
+	})
 }

@@ -84,21 +84,7 @@ func (c *EngineCache) Run(pattern scenario.Pattern, family ControllerFamily, fac
 	if err != nil {
 		return Result{}, err
 	}
-	return c.run(inst, pattern, family, factory, inst.Sensor, inst.Setup.Control, seed, durationSec)
-}
-
-// RunMode is Run with an explicit controller dispatch mode overriding
-// the base setup's — the controller-mode sweep axis: one cached engine
-// serves per-junction and batched cells alike, the mode switched
-// through sim.ResetOptions on every rewind so cells cannot leak their
-// mode into each other (the sensor-swap discipline of RunSensor,
-// applied to dispatch).
-func (c *EngineCache) RunMode(pattern scenario.Pattern, family ControllerFamily, factory signal.Factory, mode signal.ControlMode, seed uint64, durationSec float64) (Result, error) {
-	inst, err := c.instance(pattern)
-	if err != nil {
-		return Result{}, err
-	}
-	return c.run(inst, pattern, family, factory, inst.Sensor, mode, seed, durationSec)
+	return c.run(inst, pattern, family, factory, inst.Sensor, seed, durationSec)
 }
 
 // RunSensor is Run with an explicit per-cell observation sensor
@@ -112,7 +98,7 @@ func (c *EngineCache) RunSensor(pattern scenario.Pattern, family ControllerFamil
 	if err != nil {
 		return Result{}, err
 	}
-	return c.run(inst, pattern, family, factory, sensor, inst.Setup.Control, seed, durationSec)
+	return c.run(inst, pattern, family, factory, sensor, seed, durationSec)
 }
 
 // instance returns the per-worker mutable scenario instance for a
@@ -130,7 +116,9 @@ func (c *EngineCache) instance(pattern scenario.Pattern) (*scenario.Instance, er
 	return inst, nil
 }
 
-func (c *EngineCache) run(inst *scenario.Instance, pattern scenario.Pattern, family ControllerFamily, factory signal.Factory, sensor sensing.Sensor, mode signal.ControlMode, seed uint64, durationSec float64) (Result, error) {
+// run executes one cell on the cached engine of its (grid, family) key,
+// built with the base setup's controller dispatch mode.
+func (c *EngineCache) run(inst *scenario.Instance, pattern scenario.Pattern, family ControllerFamily, factory signal.Factory, sensor sensing.Sensor, seed uint64, durationSec float64) (Result, error) {
 	if factory == nil {
 		return Result{}, fmt.Errorf("experiment: EngineCache.Run requires a factory")
 	}
@@ -148,7 +136,7 @@ func (c *EngineCache) run(inst *scenario.Instance, pattern scenario.Pattern, fam
 			Router:           inst.Router,
 			Routes:           inst.Routes,
 			Sensor:           sensor,
-			Control:          mode,
+			Control:          inst.Setup.Control,
 			Events:           inst.Events,
 			ExpectedVehicles: inst.ExpectedVehicles(duration),
 		})
@@ -162,10 +150,10 @@ func (c *EngineCache) run(inst *scenario.Instance, pattern scenario.Pattern, fam
 	// was built for another pattern of the same grid: road IDs are dense
 	// and the builder is deterministic, so structurally identical grids
 	// agree on every ID the demand, router and route table use. The
-	// sensor, the controller dispatch mode and the disruption schedule
-	// are swapped the same way, so one engine serves cells with
-	// different observation models, control modes and event schedules
-	// without leaking any of them across cells.
+	// sensor and the disruption schedule are swapped the same way, so
+	// one engine serves cells with different observation models and
+	// event schedules without leaking either across cells; the dispatch
+	// mode is the base setup's for every engine of the cache.
 	if err := engine.ResetWith(seed, sim.ResetOptions{
 		Controllers: factory,
 		Demand:      inst.Demand,
@@ -173,8 +161,6 @@ func (c *EngineCache) run(inst *scenario.Instance, pattern scenario.Pattern, fam
 		Routes:      inst.Routes,
 		Sensor:      sensor,
 		ClearSensor: sensor == nil,
-		Control:     mode,
-		SetControl:  true,
 		Events:      inst.Events,
 		ClearEvents: inst.Events == nil,
 	}); err != nil {

@@ -2,10 +2,7 @@ package experiment
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"utilbp/internal/analysis"
 	"utilbp/internal/scenario"
@@ -35,103 +32,14 @@ type MatrixStats struct {
 }
 
 // matrixPlan enumerates the independent cells of a controller×sensor
-// matrix sweep, identified by a flat index so pooled workers write into
-// pre-sized slots and aggregation stays in plan order regardless of
-// completion order — the same scheme as sensingPlan and the Table III
-// sweepPlan.
+// matrix sweep, identified by a flat index like the Table III
+// sweepPlan: workload-major, then controller, then sensor, then seed.
 type matrixPlan struct {
 	workloads   []scenario.Workload
 	controllers []scenario.ControllerSpec
 	sensors     []sensing.Spec
 	seeds       []uint64
 	durationSec float64
-}
-
-// matrixCell is one cell's raw outcome.
-type matrixCell struct {
-	meanWait   float64
-	completion float64
-}
-
-func (p *matrixPlan) cells() int {
-	return len(p.workloads) * len(p.controllers) * len(p.sensors) * len(p.seeds)
-}
-
-func (p *matrixPlan) cell(idx int) (wi, ci, si, ki int) {
-	ki = idx % len(p.seeds)
-	idx /= len(p.seeds)
-	si = idx % len(p.sensors)
-	idx /= len(p.sensors)
-	ci = idx % len(p.controllers)
-	return idx / len(p.controllers), ci, si, ki
-}
-
-// runCell executes one (workload, controller, sensor, seed) cell. With
-// caches the cell runs on the worker's reused engine for the workload
-// through EngineCache.RunSensor (engines keyed by grid and controller
-// family, collaborators swapped per cell); with caches == nil it builds
-// a fresh scenario and engine — the serial reference path the pooled
-// scheduler is pinned against.
-func (p *matrixPlan) runCell(caches map[string]*EngineCache, idx int) (matrixCell, error) {
-	wi, ci, si, ki := p.cell(idx)
-	w, ctl, spec, seed := p.workloads[wi], p.controllers[ci], p.sensors[si], p.seeds[ki]
-	setup := w.Setup
-	setup.Seed = seed
-	setup.Sensor = spec
-	factory, err := setup.Controller(ctl)
-	if err != nil {
-		return matrixCell{}, fmt.Errorf("experiment: workload %s controller %v: %w", w.Name, ctl, err)
-	}
-	duration := w.SweepHorizon(p.durationSec)
-	var res Result
-	if caches != nil {
-		var sensor sensing.Sensor
-		if !spec.Perfect() {
-			sensor, err = spec.New()
-			if err == nil {
-				sensor.Reseed(seed)
-			}
-		}
-		if err == nil {
-			// Specs of one family (e.g. gapout at different timers) share
-			// the cached engine, like CAP-BP periods in the Table III sweep.
-			family := ControllerFamily(ctl.Kind.String())
-			res, err = caches[w.Name].RunSensor(w.Pattern, family, factory, sensor, seed, duration)
-		}
-	} else {
-		res, err = Run(Spec{Setup: setup, Pattern: w.Pattern, Factory: factory, DurationSec: duration})
-	}
-	if err != nil {
-		return matrixCell{}, fmt.Errorf("experiment: workload %s controller %v sensor %v seed %d: %w",
-			w.Name, ctl, spec, seed, err)
-	}
-	return matrixCell{meanWait: res.Summary.MeanWait, completion: res.Summary.CompletionRate}, nil
-}
-
-// aggregate folds the per-cell outcomes into MatrixStats rows in plan
-// order (workload-major, then controller, then sensor).
-func (p *matrixPlan) aggregate(cells []matrixCell) []MatrixStats {
-	nk := len(p.seeds)
-	rows := make([]MatrixStats, 0, p.cells()/nk)
-	for idx := 0; idx < p.cells(); idx += nk {
-		wi, ci, si, _ := p.cell(idx)
-		row := MatrixStats{
-			Workload:   p.workloads[wi].Name,
-			Controller: p.controllers[ci],
-			Sensor:     p.sensors[si],
-			MeanWaits:  make([]float64, nk),
-		}
-		comp := 0.0
-		for ki := 0; ki < nk; ki++ {
-			row.MeanWaits[ki] = cells[idx+ki].meanWait
-			comp += cells[idx+ki].completion
-		}
-		row.Mean = analysis.Mean(row.MeanWaits)
-		row.Std = analysis.Std(row.MeanWaits)
-		row.CompletionRate = comp / float64(nk)
-		rows = append(rows, row)
-	}
-	return rows
 }
 
 func newMatrixPlan(workloadNames []string, controllers []scenario.ControllerSpec, sensors []sensing.Spec, seeds []uint64, durationSec float64) (*matrixPlan, error) {
@@ -173,88 +81,89 @@ func newMatrixPlan(workloadNames []string, controllers []scenario.ControllerSpec
 	return p, nil
 }
 
-// MatrixSweep runs the full controller × sensor × workload × seed
-// matrix on the pooled scheduler: cells go onto a GOMAXPROCS worker
-// pool; every worker shares one concurrency-safe scenario.ArtifactCache
-// per workload (immutable network, rates and route table exist once per
-// process) and owns one EngineCache per workload, so a handful of
-// engines serve the whole matrix via ResetWith controller/sensor swaps.
-// Results are bit-for-bit identical to MatrixSweepSerial for the same
-// inputs (TestMatrixSweepPooledMatchesSerial, run under -race in CI).
-// durationSec is the flat horizon for workloads that do not suggest
-// their own sweep horizon; 0 means each workload's pattern default.
-func MatrixSweep(workloadNames []string, controllers []scenario.ControllerSpec, sensors []sensing.Spec, seeds []uint64, durationSec float64) ([]MatrixStats, error) {
-	plan, err := newMatrixPlan(workloadNames, controllers, sensors, seeds, durationSec)
-	if err != nil {
-		return nil, err
-	}
-	artifacts := make(map[string]*scenario.ArtifactCache, len(plan.workloads))
-	for _, w := range plan.workloads {
-		if _, ok := artifacts[w.Name]; !ok {
-			artifacts[w.Name] = scenario.NewArtifactCache(w.Setup)
-		}
-	}
-	n := plan.cells()
-	cells := make([]matrixCell, n)
-	errs := make([]error, n)
-	jobs := make(chan int)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			caches := make(map[string]*EngineCache, len(artifacts))
-			for name, a := range artifacts {
-				caches[name] = NewSharedEngineCache(a)
-			}
-			for idx := range jobs {
-				wi, ci, si, _ := plan.cell(idx)
-				withCellLabels(i, plan.workloads[wi].Name, plan.controllers[ci].String(), plan.sensors[si].String(), func() {
-					cells[idx], errs[idx] = plan.runCell(caches, idx)
-				})
-				if errs[idx] != nil {
-					failed.Store(true)
-				}
-			}
-		}()
-	}
-	for idx := 0; idx < n && !failed.Load(); idx++ {
-		jobs <- idx
-	}
-	close(jobs)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return plan.aggregate(cells), nil
+func (p *matrixPlan) cells() int {
+	return len(p.workloads) * len(p.controllers) * len(p.sensors) * len(p.seeds)
 }
 
-// MatrixSweepSerial is the strictly sequential fresh-engine reference
-// implementation of MatrixSweep: cells in plan order, a new scenario
-// and engine per cell, no reuse anywhere. The pooled scheduler is
-// pinned bit-for-bit against it; keep the two in lockstep when changing
-// either.
-func MatrixSweepSerial(workloadNames []string, controllers []scenario.ControllerSpec, sensors []sensing.Spec, seeds []uint64, durationSec float64) ([]MatrixStats, error) {
+func (p *matrixPlan) indexes(idx int) (wi, ci, si, ki int) {
+	ki = idx % len(p.seeds)
+	idx /= len(p.seeds)
+	si = idx % len(p.sensors)
+	idx /= len(p.sensors)
+	ci = idx % len(p.controllers)
+	return idx / len(p.controllers), ci, si, ki
+}
+
+// cell describes a flat cell index; the workload index is its setup
+// slot, so each worker keeps one EngineCache per workload.
+func (p *matrixPlan) cell(idx int) engineCell {
+	wi, ci, si, ki := p.indexes(idx)
+	w := p.workloads[wi]
+	setup := w.Setup
+	setup.Seed = p.seeds[ki]
+	setup.Sensor = p.sensors[si]
+	return engineCell{
+		slot:        wi,
+		setup:       setup,
+		pattern:     w.Pattern,
+		ctl:         p.controllers[ci],
+		durationSec: w.SweepHorizon(p.durationSec),
+		workload:    w.Name,
+	}
+}
+
+// aggregate folds the per-cell outcomes into MatrixStats rows in plan
+// order (workload-major, then controller, then sensor).
+func (p *matrixPlan) aggregate(res []Result) []MatrixStats {
+	nk := len(p.seeds)
+	rows := make([]MatrixStats, 0, p.cells()/nk)
+	for idx := 0; idx < p.cells(); idx += nk {
+		wi, ci, si, _ := p.indexes(idx)
+		row := MatrixStats{
+			Workload:   p.workloads[wi].Name,
+			Controller: p.controllers[ci],
+			Sensor:     p.sensors[si],
+			MeanWaits:  meanWaits(res[idx : idx+nk]),
+		}
+		comp := 0.0
+		for _, r := range res[idx : idx+nk] {
+			comp += r.Summary.CompletionRate
+		}
+		row.Mean = analysis.Mean(row.MeanWaits)
+		row.Std = analysis.Std(row.MeanWaits)
+		row.CompletionRate = comp / float64(nk)
+		rows = append(rows, row)
+	}
+	return rows
+}
+
+// MatrixSweep runs the full controller × sensor × workload × seed
+// matrix on the pooled sweep scheduler: every worker shares one
+// concurrency-safe scenario.ArtifactCache per workload and owns one
+// EngineCache per workload, so a handful of engines serve the whole
+// matrix via ResetWith controller/sensor swaps. Results are bit-for-bit
+// identical to the serial form (TestMatrixSweepPooledMatchesSerial, run
+// under -race in CI). durationSec is the flat horizon for workloads
+// that do not suggest their own sweep horizon; 0 means each workload's
+// pattern default.
+func MatrixSweep(workloadNames []string, controllers []scenario.ControllerSpec, sensors []sensing.Spec, seeds []uint64, durationSec float64) ([]MatrixStats, error) {
+	return matrixSweep(pooled, workloadNames, controllers, sensors, seeds, durationSec)
+}
+
+func matrixSweep(form schedule, workloadNames []string, controllers []scenario.ControllerSpec, sensors []sensing.Spec, seeds []uint64, durationSec float64) ([]MatrixStats, error) {
 	plan, err := newMatrixPlan(workloadNames, controllers, sensors, seeds, durationSec)
 	if err != nil {
 		return nil, err
 	}
-	cells := make([]matrixCell, plan.cells())
-	for idx := range cells {
-		c, err := plan.runCell(nil, idx)
-		if err != nil {
-			return nil, err
-		}
-		cells[idx] = c
+	setups := make([]scenario.Setup, len(plan.workloads))
+	for wi, w := range plan.workloads {
+		setups[wi] = w.Setup
 	}
-	return plan.aggregate(cells), nil
+	res, err := engineSweep(form, setups, plan.cells(), plan.cell)
+	if err != nil {
+		return nil, err
+	}
+	return plan.aggregate(res), nil
 }
 
 // DefaultMatrixControllers returns the canonical controller axis of the

@@ -26,7 +26,7 @@ func TestMatrixSweepPooledMatchesSerial(t *testing.T) {
 	sensors := []sensing.Spec{{}, sensing.CV(0.3)}
 	seeds := []uint64{5, 6}
 
-	serial, err := MatrixSweepSerial(workloads, controllers, sensors, seeds, 120)
+	serial, err := matrixSweep(serial, workloads, controllers, sensors, seeds, 120)
 	if err != nil {
 		t.Fatal(err)
 	}

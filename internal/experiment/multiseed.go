@@ -2,14 +2,10 @@ package experiment
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"utilbp/internal/analysis"
 	"utilbp/internal/scenario"
-	"utilbp/internal/signal"
 )
 
 // SeedStats aggregates one Table III row over multiple seeds.
@@ -23,16 +19,37 @@ type SeedStats struct {
 	Wins int
 }
 
-// sweepPlan enumerates every independent cell of the Table III multi-seed
-// sweep: for each (pattern, seed) group, one CAP-BP run per period plus
-// one UTIL-BP run. Cells are identified by a flat index so workers can
-// write results into pre-sized slices and aggregation stays in
-// deterministic (pattern, seed, period) order no matter which worker
-// finishes when.
+// sweepPlan enumerates every independent cell of the Table III sweep:
+// for each (pattern, seed) group, one CAP-BP run per period followed by
+// one UTIL-BP run. Cells are identified by a flat index, so results land
+// in cell-indexed slots and aggregation stays in deterministic (pattern,
+// seed, period) order no matter which worker finishes when. The
+// one-seed plan is the paper's Table III, and the first len(periods)
+// cells of a one-pattern, one-seed plan are its CAP-BP period sweep.
 type sweepPlan struct {
-	patterns []scenario.Pattern
-	periods  []int
-	seeds    []uint64
+	base        scenario.Setup
+	patterns    []scenario.Pattern
+	periods     []int
+	seeds       []uint64
+	durationSec float64
+}
+
+func newSweepPlan(base scenario.Setup, patterns []scenario.Pattern, periods []int, seeds []uint64, durationSec float64) (*sweepPlan, error) {
+	if len(seeds) == 0 {
+		return nil, fmt.Errorf("experiment: at least one seed required")
+	}
+	if patterns == nil {
+		patterns = scenario.AllPatterns
+	}
+	if len(periods) == 0 {
+		periods = DefaultPeriods()
+	}
+	for _, p := range periods {
+		if p <= 0 {
+			return nil, fmt.Errorf("experiment: CAP-BP period %d must be positive", p)
+		}
+	}
+	return &sweepPlan{base: base, patterns: patterns, periods: periods, seeds: seeds, durationSec: durationSec}, nil
 }
 
 // perGroup returns the number of cells in one (pattern, seed) group: the
@@ -42,71 +59,47 @@ func (p *sweepPlan) perGroup() int { return len(p.periods) + 1 }
 // cells returns the total cell count.
 func (p *sweepPlan) cells() int { return len(p.patterns) * len(p.seeds) * p.perGroup() }
 
-// cell decomposes a flat index into (pattern index, seed index, job),
-// where job < len(periods) selects CAP-BP at periods[job] and
-// job == len(periods) selects the UTIL-BP run.
-func (p *sweepPlan) cell(idx int) (pi, si, job int) {
-	job = idx % p.perGroup()
-	group := idx / p.perGroup()
-	return group / len(p.seeds), group % len(p.seeds), job
-}
-
-// runCell executes one cell and returns its network-mean queuing time.
-// With a cache the cell runs on a reused engine (the pooled scheduler's
-// path); with cache == nil it builds a fresh scenario and engine per cell
-// (the serial reference path). Both paths are pinned bit-for-bit equal by
-// TestMultiSeedSchedulerDeterminism.
-func (p *sweepPlan) runCell(cache *EngineCache, base scenario.Setup, idx int, durationSec float64) (float64, error) {
-	pi, si, job := p.cell(idx)
-	pattern, seed := p.patterns[pi], p.seeds[si]
-	// Both paths share one factory built from the seed-patched setup, so
-	// a factory that ever consumes Setup.Seed keeps them in lockstep.
-	setup := base
-	setup.Seed = seed
-	var (
-		family  ControllerFamily
-		factory signal.Factory
-	)
+// cell describes a flat cell index: job < len(periods) of its group
+// selects CAP-BP at periods[job], the last job the UTIL-BP run.
+func (p *sweepPlan) cell(idx int) engineCell {
+	job, group := idx%p.perGroup(), idx/p.perGroup()
+	pattern := p.patterns[group/len(p.seeds)]
+	setup := p.base
+	setup.Seed = p.seeds[group%len(p.seeds)]
+	ctl := scenario.ControllerSpec{Kind: scenario.ControllerUtil}
 	if job < len(p.periods) {
-		family, factory = FamilyCapBP, setup.CapBP(p.periods[job])
-	} else {
-		family, factory = FamilyUtilBP, setup.UtilBP()
+		ctl = scenario.ControllerSpec{Kind: scenario.ControllerCap, PeriodSec: p.periods[job]}
 	}
-	var res Result
-	var err error
-	if cache != nil {
-		res, err = cache.Run(pattern, family, factory, seed, durationSec)
-	} else {
-		res, err = Run(Spec{Setup: setup, Pattern: pattern, Factory: factory, DurationSec: durationSec})
-	}
+	return engineCell{setup: setup, pattern: pattern, ctl: ctl, durationSec: p.durationSec, workload: pattern.String()}
+}
+
+// run executes the first n cells of the plan and returns their
+// network-mean queuing times.
+func (p *sweepPlan) run(form schedule, n int) ([]float64, error) {
+	res, err := engineSweep(form, []scenario.Setup{p.base}, n, p.cell)
 	if err != nil {
-		return 0, fmt.Errorf("experiment: pattern %v seed %d %s: %w",
-			pattern, seed, cellLabel(p.periods, job), err)
+		return nil, err
 	}
-	return res.Summary.MeanWait, nil
+	return meanWaits(res), nil
 }
 
-func cellLabel(periods []int, job int) string {
-	if job < len(periods) {
-		return fmt.Sprintf("CAP-BP period %d", periods[job])
-	}
-	return "UTIL-BP"
+// group returns the CAP-BP waits of one (pattern, seed) group, in period
+// order, and its UTIL-BP wait.
+func (p *sweepPlan) group(waits []float64, pi, si int) (capWaits []float64, util float64) {
+	g := waits[(pi*len(p.seeds)+si)*p.perGroup():][:p.perGroup()]
+	return g[:len(p.periods)], g[len(p.periods)]
 }
 
-// aggregate folds the per-cell mean waits into SeedStats rows, in pattern
-// order, reproducing exactly what the serial path computes: per (pattern,
-// seed) the best (first-minimum) CAP-BP period is the baseline the UTIL-BP
-// run is compared against.
+// aggregate folds the per-cell mean waits into SeedStats rows, in
+// pattern order: per (pattern, seed) the best (first-minimum) CAP-BP
+// period is the baseline the UTIL-BP run is compared against.
 func (p *sweepPlan) aggregate(waits []float64) ([]SeedStats, error) {
 	out := make([]SeedStats, 0, len(p.patterns))
-	per := p.perGroup()
 	for pi, pat := range p.patterns {
 		stats := SeedStats{Pattern: pat, Improvements: make([]float64, len(p.seeds))}
 		for si := range p.seeds {
-			group := waits[(pi*len(p.seeds)+si)*per:][:per]
-			capWaits := group[:len(p.periods)]
-			best := capWaits[analysis.ArgMin(capWaits)]
-			imp, err := analysis.Improvement(best, group[len(p.periods)])
+			capWaits, util := p.group(waits, pi, si)
+			imp, err := analysis.Improvement(capWaits[analysis.ArgMin(capWaits)], util)
 			if err != nil {
 				return nil, err
 			}
@@ -122,104 +115,35 @@ func (p *sweepPlan) aggregate(waits []float64) ([]SeedStats, error) {
 	return out, nil
 }
 
-func newSweepPlan(patterns []scenario.Pattern, periods []int, seeds []uint64) (*sweepPlan, error) {
-	if len(seeds) == 0 {
-		return nil, fmt.Errorf("experiment: at least one seed required")
-	}
-	if patterns == nil {
-		patterns = scenario.AllPatterns
-	}
-	if len(periods) == 0 {
-		periods = DefaultPeriods()
-	}
-	return &sweepPlan{patterns: patterns, periods: periods, seeds: seeds}, nil
-}
-
 // TableIIIMultiSeed runs the Table III comparison across seeds and
 // aggregates the improvement distribution per pattern. Every
-// (pattern × seed × period) cell of the sweep — plus each group's UTIL-BP
-// run — is an independent job scheduled onto a worker pool sized to
-// runtime.GOMAXPROCS, so the whole sweep saturates the machine instead of
-// serializing behind per-pattern barriers. All workers share one
-// concurrency-safe scenario.ArtifactCache, so the immutable scenario
-// state (network topology, rate tables, interned route table) is built
-// once per pattern for the whole process; on top of it each worker owns
-// an EngineCache: engines are built once per (network, controller
-// family) and rewound between cells with sim.Engine.ResetWith instead of
-// being reconstructed, which removes per-cell scenario and engine
-// allocation from the sweep entirely (DESIGN.md §3, §5). Results are
-// written into cell-indexed slots and aggregated in plan order, making
-// the output bit-for-bit identical to TableIIIMultiSeedSerial for the
+// (pattern × seed × period) cell of the sweep — plus each group's
+// UTIL-BP run — is an independent job on the pooled sweep scheduler,
+// so the whole sweep saturates the machine instead of serializing
+// behind per-pattern barriers; engines are built once per worker and
+// controller kind and rewound between cells (DESIGN.md §3, §5). The
+// output is bit-for-bit identical to TableIIIMultiSeedSerial for the
 // same inputs.
 func TableIIIMultiSeed(base scenario.Setup, patterns []scenario.Pattern, periods []int, durationSec float64, seeds []uint64) ([]SeedStats, error) {
-	plan, err := newSweepPlan(patterns, periods, seeds)
-	if err != nil {
-		return nil, err
-	}
-	n := plan.cells()
-	waits := make([]float64, n)
-	errs := make([]error, n)
-	jobs := make(chan int)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	artifacts := scenario.NewArtifactCache(base)
-	// failed stops job submission early: a paper-scale sweep is minutes
-	// of compute, so once any cell errors the remaining cells are not
-	// worth running. In-flight cells still finish before wg.Wait
-	// returns, and the error reported is the first in cell order among
-	// those that ran.
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cache := NewSharedEngineCache(artifacts)
-			for idx := range jobs {
-				pi, _, job := plan.cell(idx)
-				withCellLabels(w, plan.patterns[pi].String(), cellLabel(plan.periods, job), base.Sensor.String(), func() {
-					waits[idx], errs[idx] = plan.runCell(cache, base, idx, durationSec)
-				})
-				if errs[idx] != nil {
-					failed.Store(true)
-				}
-			}
-		}()
-	}
-	for idx := 0; idx < n && !failed.Load(); idx++ {
-		jobs <- idx
-	}
-	close(jobs)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return plan.aggregate(waits)
+	return tableIIIMultiSeed(pooled, base, patterns, periods, durationSec, seeds)
 }
 
-// TableIIIMultiSeedSerial is the strictly sequential reference
-// implementation of TableIIIMultiSeed: one goroutine, cells executed in
-// plan order, and — unlike the pooled scheduler — a freshly built
-// scenario and engine for every cell, so engine reuse always has a
-// no-reuse baseline to be compared against. The pooled scheduler is
-// tested to produce bit-for-bit identical SeedStats; keep the two in
-// lockstep when changing either.
+// TableIIIMultiSeedSerial is the serial form of TableIIIMultiSeed: one
+// worker, cells in plan order, and a freshly built scenario and engine
+// for every cell — the no-reuse baseline engine reuse is compared
+// against.
 func TableIIIMultiSeedSerial(base scenario.Setup, patterns []scenario.Pattern, periods []int, durationSec float64, seeds []uint64) ([]SeedStats, error) {
-	plan, err := newSweepPlan(patterns, periods, seeds)
+	return tableIIIMultiSeed(serial, base, patterns, periods, durationSec, seeds)
+}
+
+func tableIIIMultiSeed(form schedule, base scenario.Setup, patterns []scenario.Pattern, periods []int, durationSec float64, seeds []uint64) ([]SeedStats, error) {
+	plan, err := newSweepPlan(base, patterns, periods, seeds, durationSec)
 	if err != nil {
 		return nil, err
 	}
-	waits := make([]float64, plan.cells())
-	for idx := range waits {
-		w, err := plan.runCell(nil, base, idx, durationSec)
-		if err != nil {
-			return nil, err
-		}
-		waits[idx] = w
+	waits, err := plan.run(form, plan.cells())
+	if err != nil {
+		return nil, err
 	}
 	return plan.aggregate(waits)
 }

@@ -22,37 +22,34 @@ type TableIIIRow struct {
 }
 
 // TableIII reproduces the paper's Table III over the given patterns
-// (nil = all five rows) and CAP-BP periods (nil = the Figure 2 sweep).
-// durationSec > 0 shortens every run for quick builds.
+// (nil = all five rows) and CAP-BP periods (nil = the Figure 2 sweep):
+// the one-seed (setup.Seed) case of the Table III sweep plan, every
+// cell on the pooled scheduler. durationSec > 0 shortens every run for
+// quick builds.
 func TableIII(setup scenario.Setup, patterns []scenario.Pattern, periods []int, durationSec float64) ([]TableIIIRow, error) {
-	if patterns == nil {
-		patterns = scenario.AllPatterns
+	plan, err := newSweepPlan(setup, patterns, periods, []uint64{setup.Seed}, durationSec)
+	if err != nil {
+		return nil, err
 	}
-	rows := make([]TableIIIRow, 0, len(patterns))
-	for _, pat := range patterns {
-		sweep, err := SweepCAPPeriods(setup, pat, periods, durationSec)
+	waits, err := plan.run(pooled, plan.cells())
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]TableIIIRow, len(plan.patterns))
+	for pi, pat := range plan.patterns {
+		capWaits, util := plan.group(waits, pi, 0)
+		best := analysis.ArgMin(capWaits)
+		imp, err := analysis.Improvement(capWaits[best], util)
 		if err != nil {
 			return nil, err
 		}
-		best, err := BestPeriod(sweep)
-		if err != nil {
-			return nil, err
-		}
-		util, err := Run(Spec{Setup: setup, Pattern: pat, Factory: setup.UtilBP(), DurationSec: durationSec})
-		if err != nil {
-			return nil, err
-		}
-		imp, err := analysis.Improvement(best.MeanWait, util.Summary.MeanWait)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, TableIIIRow{
+		rows[pi] = TableIIIRow{
 			Pattern:        pat,
-			CAPPeriodSec:   best.PeriodSec,
-			CAPMeanWait:    best.MeanWait,
-			UTILMeanWait:   util.Summary.MeanWait,
+			CAPPeriodSec:   plan.periods[best],
+			CAPMeanWait:    capWaits[best],
+			UTILMeanWait:   util,
 			ImprovementPct: imp * 100,
-		})
+		}
 	}
 	return rows, nil
 }
@@ -79,17 +76,19 @@ type Fig2Data struct {
 	UTILWait float64
 }
 
-// Fig2 reproduces Figure 2. durationSec > 0 shortens the runs.
+// Fig2 reproduces Figure 2: the one-pattern (mixed), one-seed Table III
+// plan. durationSec > 0 shortens the runs.
 func Fig2(setup scenario.Setup, periods []int, durationSec float64) (Fig2Data, error) {
-	points, err := SweepCAPPeriods(setup, scenario.PatternMixed, periods, durationSec)
+	plan, err := newSweepPlan(setup, []scenario.Pattern{scenario.PatternMixed}, periods, []uint64{setup.Seed}, durationSec)
 	if err != nil {
 		return Fig2Data{}, err
 	}
-	util, err := Run(Spec{Setup: setup, Pattern: scenario.PatternMixed, Factory: setup.UtilBP(), DurationSec: durationSec})
+	waits, err := plan.run(pooled, plan.cells())
 	if err != nil {
 		return Fig2Data{}, err
 	}
-	return Fig2Data{Points: points, UTILWait: util.Summary.MeanWait}, nil
+	_, util := plan.group(waits, 0, 0)
+	return Fig2Data{Points: plan.points(waits), UTILWait: util}, nil
 }
 
 // FormatFig2 renders the Figure 2 series as text.

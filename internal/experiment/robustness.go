@@ -3,15 +3,11 @@ package experiment
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"utilbp/internal/analysis"
 	"utilbp/internal/event"
 	"utilbp/internal/scenario"
-	"utilbp/internal/signal"
 	"utilbp/internal/telemetry"
 )
 
@@ -59,113 +55,89 @@ type RobustnessStats struct {
 	DegradationPct float64
 }
 
-// robustnessPlan enumerates the independent cells of a robustness
-// sweep: one run per (family × severity × seed), identified by a flat
-// index so pooled workers write into pre-sized slots and aggregation
-// stays in plan order — the scheme of sweepPlan/sensingPlan. Each
-// severity is a derived Setup carrying the incident spec, so each has
-// its own immutable artifact (and, pooled, its own engine/artifact
-// caches: schedules are per-artifact state).
-type robustnessPlan struct {
-	pattern   scenario.Pattern
-	families  []ControllerFamily
-	capFracs  []float64
-	setups    []scenario.Setup // per severity, incident armed
-	seeds     []uint64
-	periodSec int
+// familyPlan enumerates the independent cells of a disruption study:
+// one run per (controller family × derived setup × seed), identified by
+// a flat index like the Table III sweepPlan. The robustness sweep
+// derives one setup per incident severity, the stress study one per
+// (area, demand scale) pair; each derived setup carries its own
+// compiled schedule, so it has its own artifact and, pooled, its own
+// engine cache per worker.
+type familyPlan struct {
+	pattern     scenario.Pattern
+	families    []ControllerFamily
+	setups      []scenario.Setup
+	seeds       []uint64
+	durationSec float64
 }
 
-func (p *robustnessPlan) cells() int {
-	return len(p.families) * len(p.capFracs) * len(p.seeds)
-}
-
-func (p *robustnessPlan) cell(idx int) (fi, ci, ki int) {
-	ki = idx % len(p.seeds)
-	row := idx / len(p.seeds)
-	return row / len(p.capFracs), row % len(p.capFracs), ki
-}
-
-// runCell executes one cell and returns its network-mean queuing time
-// and throughput (exited vehicles). With caches the cell runs on the
-// severity's reused engine; with caches == nil it builds a fresh
-// scenario and engine per cell — the serial reference the pooled
-// scheduler is pinned against.
-func (p *robustnessPlan) runCell(caches []*EngineCache, idx int, durationSec float64) (wait, throughput float64, err error) {
-	fi, ci, ki := p.cell(idx)
-	family, seed := p.families[fi], p.seeds[ki]
-	// Both paths share one factory built from the seed-patched setup, so
-	// a factory that ever consumes Setup.Seed keeps them in lockstep.
-	setup := p.setups[ci]
-	setup.Seed = seed
-	var factory signal.Factory
-	switch family {
-	case FamilyCapBP:
-		factory = setup.CapBP(p.periodSec)
-	default:
-		factory = setup.UtilBP()
-	}
-	var res Result
-	if caches != nil {
-		res, err = caches[ci].Run(p.pattern, family, factory, seed, durationSec)
-	} else {
-		res, err = Run(Spec{Setup: setup, Pattern: p.pattern, Factory: factory, DurationSec: durationSec})
-	}
-	if err != nil {
-		return 0, 0, fmt.Errorf("experiment: %s capacity %.2f seed %d: %w", family, p.capFracs[ci], seed, err)
-	}
-	return res.Summary.MeanWait, float64(res.Totals.Exited), nil
-}
-
-// aggregate folds the per-cell results into RobustnessStats rows in
-// (family, severity) order, with degradations computed per seed against
-// the family's CapFrac = 1 row.
-func (p *robustnessPlan) aggregate(waits, thrs []float64) []RobustnessStats {
-	baseline := -1
-	for ci, f := range p.capFracs {
-		if f == 1 {
-			baseline = ci
-			break
-		}
-	}
-	out := make([]RobustnessStats, 0, len(p.families)*len(p.capFracs))
-	for fi, family := range p.families {
-		for ci, frac := range p.capFracs {
-			row := RobustnessStats{
-				Family:      family,
-				CapFrac:     frac,
-				MeanWaits:   make([]float64, len(p.seeds)),
-				Throughputs: make([]float64, len(p.seeds)),
-			}
-			deg := 0.0
-			for ki := range p.seeds {
-				at := func(c int) int { return (fi*len(p.capFracs)+c)*len(p.seeds) + ki }
-				row.MeanWaits[ki] = waits[at(ci)]
-				row.Throughputs[ki] = thrs[at(ci)]
-				if baseline >= 0 {
-					if ref := waits[at(baseline)]; ref > 0 {
-						deg += 100 * (row.MeanWaits[ki] - ref) / ref
-					}
-				}
-			}
-			row.Mean = analysis.Mean(row.MeanWaits)
-			row.Std = analysis.Std(row.MeanWaits)
-			row.MeanThroughput = analysis.Mean(row.Throughputs)
-			if baseline >= 0 {
-				row.DegradationPct = deg / float64(len(p.seeds))
-			}
-			out = append(out, row)
-		}
-	}
-	return out
-}
-
-// newRobustnessPlan derives the per-severity setups: each severity is
-// the base setup plus a central incident (scenario.WithCentralIncident)
-// spanning the middle half of the sweep horizon, so every run sees both
-// the degraded regime and the post-clearance recovery.
-func newRobustnessPlan(base scenario.Setup, pattern scenario.Pattern, capFracs []float64, seeds []uint64, durationSec float64) (*robustnessPlan, error) {
+func newFamilyPlan(pattern scenario.Pattern, seeds []uint64, durationSec float64) (*familyPlan, error) {
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("experiment: at least one seed required")
+	}
+	return &familyPlan{pattern: pattern, families: RobustnessFamilies(), seeds: seeds, durationSec: durationSec}, nil
+}
+
+func (p *familyPlan) cells() int { return len(p.families) * len(p.setups) * len(p.seeds) }
+
+// cell describes a flat cell index: CAP-BP cells run at
+// DefaultRobustnessPeriodSec, every other family as UTIL-BP.
+func (p *familyPlan) cell(idx int) engineCell {
+	row := idx / len(p.seeds)
+	ci := row % len(p.setups)
+	setup := p.setups[ci]
+	setup.Seed = p.seeds[idx%len(p.seeds)]
+	ctl := scenario.ControllerSpec{Kind: scenario.ControllerUtil}
+	if p.families[row/len(p.setups)] == FamilyCapBP {
+		ctl = scenario.ControllerSpec{Kind: scenario.ControllerCap, PeriodSec: DefaultRobustnessPeriodSec}
+	}
+	return engineCell{slot: ci, setup: setup, pattern: p.pattern, ctl: ctl, durationSec: p.durationSec, workload: p.pattern.String()}
+}
+
+// familyRow is one (family, setup) row of a familyPlan across seeds.
+type familyRow struct {
+	waits, throughputs []float64
+	mean, std, thr     float64
+	// deg is the mean per-seed wait increase over the same family's
+	// reference setup row, in percent; 0 without a reference.
+	deg float64
+}
+
+// row folds the per-seed results of (family fi, setup ci) against the
+// family's reference setup ref (-1 for none).
+func (p *familyPlan) row(res []Result, fi, ci, ref int) familyRow {
+	at := func(c int) []Result {
+		off := (fi*len(p.setups) + c) * len(p.seeds)
+		return res[off : off+len(p.seeds)]
+	}
+	r := familyRow{waits: meanWaits(at(ci)), throughputs: make([]float64, len(p.seeds))}
+	for ki, cell := range at(ci) {
+		r.throughputs[ki] = float64(cell.Totals.Exited)
+	}
+	r.mean, r.std = analysis.Mean(r.waits), analysis.Std(r.waits)
+	r.thr = analysis.Mean(r.throughputs)
+	if ref >= 0 {
+		r.deg = degradationPct(r.waits, meanWaits(at(ref)))
+	}
+	return r
+}
+
+// RobustnessSweep runs the throughput-under-capacity-loss experiment:
+// every controller family of RobustnessFamilies across the incident
+// severity axis and the seeds, on a mid-run central incident spanning
+// the middle half of the horizon (scenario.WithCentralIncident), so
+// every run sees both the degraded regime and the post-clearance
+// recovery. Cells run on the pooled sweep scheduler with one shared
+// ArtifactCache and one per-worker EngineCache per severity. Results
+// are bit-for-bit identical to the serial form
+// (TestRobustnessSweepPooledMatchesSerial).
+func RobustnessSweep(base scenario.Setup, pattern scenario.Pattern, capFracs []float64, seeds []uint64, durationSec float64) ([]RobustnessStats, error) {
+	return robustnessSweep(pooled, base, pattern, capFracs, seeds, durationSec)
+}
+
+func robustnessSweep(form schedule, base scenario.Setup, pattern scenario.Pattern, capFracs []float64, seeds []uint64, durationSec float64) ([]RobustnessStats, error) {
+	plan, err := newFamilyPlan(pattern, seeds, durationSec)
+	if err != nil {
+		return nil, err
 	}
 	if len(capFracs) == 0 {
 		capFracs = DefaultCapFracs()
@@ -173,107 +145,38 @@ func newRobustnessPlan(base scenario.Setup, pattern scenario.Pattern, capFracs [
 	if durationSec <= 0 {
 		durationSec = pattern.Duration()
 	}
-	p := &robustnessPlan{
-		pattern:   pattern,
-		families:  RobustnessFamilies(),
-		capFracs:  capFracs,
-		seeds:     seeds,
-		periodSec: DefaultRobustnessPeriodSec,
-	}
-	t0, dur := durationSec/4, durationSec/2
-	for _, frac := range capFracs {
-		setup, err := base.WithCentralIncident(t0, dur, frac)
+	baseline := -1
+	for ci, frac := range capFracs {
+		setup, err := base.WithCentralIncident(durationSec/4, durationSec/2, frac)
 		if err != nil {
 			return nil, err
 		}
-		p.setups = append(p.setups, setup)
+		plan.setups = append(plan.setups, setup)
+		if frac == 1 && baseline < 0 {
+			baseline = ci
+		}
 	}
-	return p, nil
-}
-
-// RobustnessSweep runs the throughput-under-capacity-loss experiment:
-// every controller family of RobustnessFamilies across the incident
-// severity axis and the seeds, on a mid-run central incident spanning
-// the middle half of the horizon. Cells are scheduled onto a
-// GOMAXPROCS worker pool; severities have distinct artifacts (the
-// disruption schedule is compiled into them), so the workers share one
-// concurrency-safe ArtifactCache per severity and each worker keeps
-// one EngineCache per severity on top. Results are bit-for-bit
-// identical to RobustnessSweepSerial for the same inputs
-// (TestRobustnessSweepPooledMatchesSerial).
-func RobustnessSweep(base scenario.Setup, pattern scenario.Pattern, capFracs []float64, seeds []uint64, durationSec float64) ([]RobustnessStats, error) {
-	plan, err := newRobustnessPlan(base, pattern, capFracs, seeds, durationSec)
+	res, err := engineSweep(form, plan.setups, plan.cells(), plan.cell)
 	if err != nil {
 		return nil, err
 	}
-	n := plan.cells()
-	waits := make([]float64, n)
-	thrs := make([]float64, n)
-	errs := make([]error, n)
-	jobs := make(chan int)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	shared := make([]*scenario.ArtifactCache, len(plan.setups))
-	for ci, setup := range plan.setups {
-		shared[ci] = scenario.NewArtifactCache(setup)
-	}
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			caches := make([]*EngineCache, len(shared))
-			for ci := range shared {
-				caches[ci] = NewSharedEngineCache(shared[ci])
-			}
-			for idx := range jobs {
-				fi, ci, _ := plan.cell(idx)
-				withCellLabels(w, plan.pattern.String(), string(plan.families[fi]), plan.setups[ci].Sensor.String(), func() {
-					waits[idx], thrs[idx], errs[idx] = plan.runCell(caches, idx, durationSec)
-				})
-				if errs[idx] != nil {
-					failed.Store(true)
-				}
-			}
-		}()
-	}
-	for idx := 0; idx < n && !failed.Load(); idx++ {
-		jobs <- idx
-	}
-	close(jobs)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	out := make([]RobustnessStats, 0, len(plan.families)*len(capFracs))
+	for fi, family := range plan.families {
+		for ci, frac := range capFracs {
+			r := plan.row(res, fi, ci, baseline)
+			out = append(out, RobustnessStats{
+				Family:         family,
+				CapFrac:        frac,
+				MeanWaits:      r.waits,
+				Throughputs:    r.throughputs,
+				Mean:           r.mean,
+				Std:            r.std,
+				MeanThroughput: r.thr,
+				DegradationPct: r.deg,
+			})
 		}
 	}
-	return plan.aggregate(waits, thrs), nil
-}
-
-// RobustnessSweepSerial is the strictly sequential fresh-engine
-// reference implementation of RobustnessSweep: cells in plan order, a
-// new scenario and engine per cell, no reuse anywhere. The pooled
-// scheduler is pinned bit-for-bit against it; keep the two in lockstep
-// when changing either.
-func RobustnessSweepSerial(base scenario.Setup, pattern scenario.Pattern, capFracs []float64, seeds []uint64, durationSec float64) ([]RobustnessStats, error) {
-	plan, err := newRobustnessPlan(base, pattern, capFracs, seeds, durationSec)
-	if err != nil {
-		return nil, err
-	}
-	n := plan.cells()
-	waits := make([]float64, n)
-	thrs := make([]float64, n)
-	for idx := 0; idx < n; idx++ {
-		w, t, err := plan.runCell(nil, idx, durationSec)
-		if err != nil {
-			return nil, err
-		}
-		waits[idx], thrs[idx] = w, t
-	}
-	return plan.aggregate(waits, thrs), nil
+	return out, nil
 }
 
 // FormatRobustnessStats renders the robustness sweep table.

@@ -25,7 +25,7 @@ func TestRobustnessSweepPooledMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := RobustnessSweepSerial(base, scenario.PatternII, capFracs, seeds, robustnessTestHorizon)
+	serial, err := robustnessSweep(serial, base, scenario.PatternII, capFracs, seeds, robustnessTestHorizon)
 	if err != nil {
 		t.Fatal(err)
 	}

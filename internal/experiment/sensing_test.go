@@ -30,7 +30,7 @@ func TestSensingSweepPooledMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := SensingSweepSerial(base, scenario.PatternII, specs, seeds, sensingTestHorizon)
+	serial, err := sensingSweep(serial, base, scenario.PatternII, specs, seeds, sensingTestHorizon)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,14 +2,9 @@ package experiment
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 
-	"utilbp/internal/analysis"
 	"utilbp/internal/scenario"
-	"utilbp/internal/signal"
 )
 
 // DefaultStressAreas returns the canonical area-incident severity axis
@@ -57,127 +52,28 @@ type StressStats struct {
 	DegradationPct float64
 }
 
-// stressPlan enumerates the independent cells of a stress sweep: one
-// run per (family × area × demand scale × seed), identified by a flat
-// index so pooled workers write into pre-sized slots and aggregation
-// stays in plan order — the scheme of robustnessPlan. Each
-// (area, scale) pair is a derived Setup carrying the area incident and
-// the scaled demand, so each has its own immutable artifact.
-type stressPlan struct {
-	pattern   scenario.Pattern
-	families  []ControllerFamily
-	areas     []int
-	scales    []float64
-	setups    []scenario.Setup // per (area, scale), area incident armed
-	seeds     []uint64
-	periodSec int
+// StressSweep runs the area-incident stress study: every controller
+// family of RobustnessFamilies across the area-size axis (k×k junction
+// neighborhoods losing their approaches mid-run) crossed with the
+// demand-scale axis and the seeds — the graceful-degradation surface
+// of DESIGN.md §14. Each area size is the base setup plus a k×k area
+// incident anchored at the loaded top-right corner
+// (scenario.WithCornerAreaIncident) spanning the middle half of the
+// horizon at DefaultStressCapFrac residual capacity, crossed with the
+// demand scales; area 0 keeps the base events untouched, so the
+// degradation baseline is the undisrupted run at the same demand.
+// Cells run on the pooled sweep scheduler with one shared
+// ArtifactCache and one per-worker EngineCache per (area, scale) pair.
+// Results are bit-for-bit identical to the serial form
+// (TestStressSweepPooledMatchesSerial).
+func StressSweep(base scenario.Setup, pattern scenario.Pattern, areas []int, scales []float64, seeds []uint64, durationSec float64) ([]StressStats, error) {
+	return stressSweep(pooled, base, pattern, areas, scales, seeds, durationSec)
 }
 
-func (p *stressPlan) cells() int {
-	return len(p.families) * len(p.areas) * len(p.scales) * len(p.seeds)
-}
-
-func (p *stressPlan) cell(idx int) (fi, ai, si, ki int) {
-	ki = idx % len(p.seeds)
-	row := idx / len(p.seeds)
-	si = row % len(p.scales)
-	row /= len(p.scales)
-	return row / len(p.areas), row % len(p.areas), si, ki
-}
-
-// setupAt returns the derived setup of an (area, scale) pair.
-func (p *stressPlan) setupAt(ai, si int) scenario.Setup {
-	return p.setups[ai*len(p.scales)+si]
-}
-
-// runCell executes one cell and returns its network-mean queuing time
-// and throughput (exited vehicles). With caches the cell runs on the
-// (area, scale) pair's reused engine; with caches == nil it builds a
-// fresh scenario and engine per cell — the serial reference the pooled
-// scheduler is pinned against.
-func (p *stressPlan) runCell(caches []*EngineCache, idx int, durationSec float64) (wait, throughput float64, err error) {
-	fi, ai, si, ki := p.cell(idx)
-	family, seed := p.families[fi], p.seeds[ki]
-	setup := p.setupAt(ai, si)
-	setup.Seed = seed
-	var factory signal.Factory
-	switch family {
-	case FamilyCapBP:
-		factory = setup.CapBP(p.periodSec)
-	default:
-		factory = setup.UtilBP()
-	}
-	var res Result
-	if caches != nil {
-		res, err = caches[ai*len(p.scales)+si].Run(p.pattern, family, factory, seed, durationSec)
-	} else {
-		res, err = Run(Spec{Setup: setup, Pattern: p.pattern, Factory: factory, DurationSec: durationSec})
-	}
+func stressSweep(form schedule, base scenario.Setup, pattern scenario.Pattern, areas []int, scales []float64, seeds []uint64, durationSec float64) ([]StressStats, error) {
+	plan, err := newFamilyPlan(pattern, seeds, durationSec)
 	if err != nil {
-		return 0, 0, fmt.Errorf("experiment: %s area %d scale %.2f seed %d: %w",
-			family, p.areas[ai], p.scales[si], seed, err)
-	}
-	return res.Summary.MeanWait, float64(res.Totals.Exited), nil
-}
-
-// aggregate folds the per-cell results into StressStats rows in
-// (family, area, scale) order, with degradations computed per seed
-// against the family's AreaK = 0 row at the same demand scale.
-func (p *stressPlan) aggregate(waits, thrs []float64) []StressStats {
-	baseline := -1
-	for ai, k := range p.areas {
-		if k == 0 {
-			baseline = ai
-			break
-		}
-	}
-	out := make([]StressStats, 0, len(p.families)*len(p.areas)*len(p.scales))
-	for fi, family := range p.families {
-		for ai, k := range p.areas {
-			for si, scale := range p.scales {
-				row := StressStats{
-					Family:      family,
-					AreaK:       k,
-					DemandScale: scale,
-					MeanWaits:   make([]float64, len(p.seeds)),
-					Throughputs: make([]float64, len(p.seeds)),
-				}
-				deg := 0.0
-				for ki := range p.seeds {
-					at := func(a int) int {
-						return ((fi*len(p.areas)+a)*len(p.scales)+si)*len(p.seeds) + ki
-					}
-					row.MeanWaits[ki] = waits[at(ai)]
-					row.Throughputs[ki] = thrs[at(ai)]
-					if baseline >= 0 {
-						if ref := waits[at(baseline)]; ref > 0 {
-							deg += 100 * (row.MeanWaits[ki] - ref) / ref
-						}
-					}
-				}
-				row.Mean = analysis.Mean(row.MeanWaits)
-				row.Std = analysis.Std(row.MeanWaits)
-				row.MeanThroughput = analysis.Mean(row.Throughputs)
-				if baseline >= 0 {
-					row.DegradationPct = deg / float64(len(p.seeds))
-				}
-				out = append(out, row)
-			}
-		}
-	}
-	return out
-}
-
-// newStressPlan derives the per-(area, scale) setups: each area size is
-// the base setup plus a k×k area incident anchored at the loaded
-// top-right corner (scenario.WithCornerAreaIncident) spanning the
-// middle half of the sweep horizon at DefaultStressCapFrac residual
-// capacity, crossed with the demand scales; area 0 keeps the base
-// events untouched so the degradation baseline is the undisrupted run
-// at the same demand.
-func newStressPlan(base scenario.Setup, pattern scenario.Pattern, areas []int, scales []float64, seeds []uint64, durationSec float64) (*stressPlan, error) {
-	if len(seeds) == 0 {
-		return nil, fmt.Errorf("experiment: at least one seed required")
+		return nil, err
 	}
 	if len(areas) == 0 {
 		areas = DefaultStressAreas()
@@ -188,115 +84,50 @@ func newStressPlan(base scenario.Setup, pattern scenario.Pattern, areas []int, s
 	if durationSec <= 0 {
 		durationSec = pattern.Duration()
 	}
-	p := &stressPlan{
-		pattern:   pattern,
-		families:  RobustnessFamilies(),
-		areas:     areas,
-		scales:    scales,
-		seeds:     seeds,
-		periodSec: DefaultRobustnessPeriodSec,
-	}
-	t0, dur := durationSec/4, durationSec/2
-	for _, k := range areas {
+	baseline := -1
+	for ai, k := range areas {
 		for _, scale := range scales {
 			setup := base
 			if k > 0 {
-				var err error
-				setup, err = base.WithCornerAreaIncident(k, t0, dur, DefaultStressCapFrac)
-				if err != nil {
+				if setup, err = base.WithCornerAreaIncident(k, durationSec/4, durationSec/2, DefaultStressCapFrac); err != nil {
 					return nil, err
 				}
 			}
 			setup.DemandScale = scale
-			p.setups = append(p.setups, setup)
+			plan.setups = append(plan.setups, setup)
+		}
+		if k == 0 && baseline < 0 {
+			baseline = ai
 		}
 	}
-	return p, nil
-}
-
-// StressSweep runs the area-incident stress study: every controller
-// family of RobustnessFamilies across the area-size axis (k×k junction
-// neighborhoods losing their approaches mid-run) crossed with the
-// demand-scale axis and the seeds — the graceful-degradation surface
-// of DESIGN.md §14. Cells are scheduled onto a GOMAXPROCS worker pool;
-// (area, scale) pairs have distinct artifacts, so the workers share one
-// concurrency-safe ArtifactCache per pair and each worker keeps one
-// EngineCache per pair on top. Results are bit-for-bit identical to
-// StressSweepSerial for the same inputs
-// (TestStressSweepPooledMatchesSerial).
-func StressSweep(base scenario.Setup, pattern scenario.Pattern, areas []int, scales []float64, seeds []uint64, durationSec float64) ([]StressStats, error) {
-	plan, err := newStressPlan(base, pattern, areas, scales, seeds, durationSec)
+	res, err := engineSweep(form, plan.setups, plan.cells(), plan.cell)
 	if err != nil {
 		return nil, err
 	}
-	n := plan.cells()
-	waits := make([]float64, n)
-	thrs := make([]float64, n)
-	errs := make([]error, n)
-	jobs := make(chan int)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	shared := make([]*scenario.ArtifactCache, len(plan.setups))
-	for ci, setup := range plan.setups {
-		shared[ci] = scenario.NewArtifactCache(setup)
-	}
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			caches := make([]*EngineCache, len(shared))
-			for ci := range shared {
-				caches[ci] = NewSharedEngineCache(shared[ci])
-			}
-			for idx := range jobs {
-				fi, ai, si, _ := plan.cell(idx)
-				withCellLabels(w, plan.pattern.String(), string(plan.families[fi]), plan.setupAt(ai, si).Sensor.String(), func() {
-					waits[idx], thrs[idx], errs[idx] = plan.runCell(caches, idx, durationSec)
-				})
-				if errs[idx] != nil {
-					failed.Store(true)
+	out := make([]StressStats, 0, len(plan.families)*len(areas)*len(scales))
+	for fi, family := range plan.families {
+		for ai, k := range areas {
+			for si, scale := range scales {
+				ref := -1
+				if baseline >= 0 {
+					ref = baseline*len(scales) + si
 				}
+				r := plan.row(res, fi, ai*len(scales)+si, ref)
+				out = append(out, StressStats{
+					Family:         family,
+					AreaK:          k,
+					DemandScale:    scale,
+					MeanWaits:      r.waits,
+					Throughputs:    r.throughputs,
+					Mean:           r.mean,
+					Std:            r.std,
+					MeanThroughput: r.thr,
+					DegradationPct: r.deg,
+				})
 			}
-		}()
-	}
-	for idx := 0; idx < n && !failed.Load(); idx++ {
-		jobs <- idx
-	}
-	close(jobs)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
 		}
 	}
-	return plan.aggregate(waits, thrs), nil
-}
-
-// StressSweepSerial is the strictly sequential fresh-engine reference
-// implementation of StressSweep: cells in plan order, a new scenario
-// and engine per cell, no reuse anywhere. The pooled scheduler is
-// pinned bit-for-bit against it; keep the two in lockstep when
-// changing either.
-func StressSweepSerial(base scenario.Setup, pattern scenario.Pattern, areas []int, scales []float64, seeds []uint64, durationSec float64) ([]StressStats, error) {
-	plan, err := newStressPlan(base, pattern, areas, scales, seeds, durationSec)
-	if err != nil {
-		return nil, err
-	}
-	n := plan.cells()
-	waits := make([]float64, n)
-	thrs := make([]float64, n)
-	for idx := 0; idx < n; idx++ {
-		w, t, err := plan.runCell(nil, idx, durationSec)
-		if err != nil {
-			return nil, err
-		}
-		waits[idx], thrs[idx] = w, t
-	}
-	return plan.aggregate(waits, thrs), nil
+	return out, nil
 }
 
 // FormatStressStats renders the stress-study table.

@@ -27,7 +27,7 @@ func TestStressSweepPooledMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := StressSweepSerial(base, scenario.PatternII, areas, scales, seeds, stressTestHorizon)
+	serial, err := stressSweep(serial, base, scenario.PatternII, areas, scales, seeds, stressTestHorizon)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestStressSweepShape(t *testing.T) {
 // point must push more vehicles into the network than the baseline.
 func TestStressDemandAxisBites(t *testing.T) {
 	base := scenario.Default()
-	rows, err := StressSweepSerial(base, scenario.PatternII, []int{0}, []float64{1, 2}, []uint64{3}, stressTestHorizon)
+	rows, err := stressSweep(serial, base, scenario.PatternII, []int{0}, []float64{1, 2}, []uint64{3}, stressTestHorizon)
 	if err != nil {
 		t.Fatal(err)
 	}

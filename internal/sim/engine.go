@@ -901,13 +901,6 @@ type ResetOptions struct {
 	// the same convention ClearSensor uses for "remove the sensor".
 	Control    signal.ControlMode
 	SetControl bool
-	// Serve switches the serve-substep implementation (batched plane vs
-	// per-junction reference, DESIGN.md §16) before the rewind. It
-	// applies only when SetServe is true — the zero ServeMode
-	// (ServeBatched) is itself meaningful, the same convention as
-	// Control/SetControl.
-	Serve    ServeMode
-	SetServe bool
 	// Events replaces the disruption schedule the run replays
 	// (DESIGN.md §12). Nil keeps the current schedule; to run the next
 	// cell undisrupted set ClearEvents instead (robustness sweeps swap
@@ -961,10 +954,6 @@ func (e *Engine) ResetWith(seed uint64, opts ResetOptions) error {
 	}
 	if opts.SetControl {
 		e.cfg.Control = opts.Control
-	}
-	if opts.SetServe {
-		e.cfg.Serve = opts.Serve
-		e.serveRef = opts.Serve == ServeReference
 	}
 	switch {
 	case opts.ClearEvents:
@@ -1068,7 +1057,7 @@ func (e *Engine) CurrentPhase(junction network.NodeID) signal.Phase {
 // Run advances the simulation by the given number of mini-slots.
 func (e *Engine) Run(steps int) {
 	for i := 0; i < steps; i++ {
-		e.stepOnce()
+		e.stepOnce(nil)
 	}
 }
 
@@ -1078,14 +1067,26 @@ func (e *Engine) RunFor(seconds float64) {
 	e.Run(steps)
 }
 
-func (e *Engine) stepOnce() {
+// stepOnce advances one mini-slot — the six substeps, the telemetry
+// flush and the step hooks; it is the engine's one step loop. A non-nil
+// clock laps the substeps for the timing drivers (RunTimed, RunTraced);
+// the production path passes nil, and the clock's nil checks inline
+// into single branches.
+func (e *Engine) stepOnce(clock *substepClock) {
 	t := e.Time()
+	clock.start()
 	e.applyEvents()
+	clock.lap(0)
 	e.sense()
+	clock.lap(1)
 	e.control(t)
+	clock.lap(2)
 	e.serve(t)
+	clock.lap(3)
 	e.completeTravel(t)
+	clock.lap(4)
 	e.arrivals(t)
+	clock.lap(5)
 	e.step++
 	if e.telem != nil {
 		e.flushTelemetry()
@@ -1097,6 +1098,33 @@ func (e *Engine) stepOnce() {
 			}
 		}
 	}
+}
+
+// substepClock laps the wall clock across the mini-slot substeps:
+// after a step, laps[s] is the duration of substep s (SubstepNames
+// order). Its methods are no-ops on a nil clock.
+type substepClock struct {
+	mark time.Time
+	laps [NumSubsteps]time.Duration
+}
+
+func (c *substepClock) start() {
+	if c != nil {
+		c.mark = time.Now()
+	}
+}
+
+// lap closes substep s and opens the next one.
+func (c *substepClock) lap(s int) {
+	if c != nil {
+		c.record(s)
+	}
+}
+
+func (c *substepClock) record(s int) {
+	now := time.Now()
+	c.laps[s] = now.Sub(c.mark)
+	c.mark = now
 }
 
 // PhaseTimings accumulates wall time per mini-slot substep over a
@@ -1116,46 +1144,21 @@ type PhaseTimings struct {
 }
 
 // RunTimed advances the simulation like Run while attributing wall time
-// to the mini-slot substeps. It is behaviorally identical to Run (same
-// state evolution, same hooks); only the timing instrumentation
-// differs.
+// to the mini-slot substeps: it drives the same step loop with a clock
+// and folds the laps into pt. State evolution and hooks are identical
+// to Run; only the timing instrumentation differs.
 func (e *Engine) RunTimed(steps int, pt *PhaseTimings) {
+	var clock substepClock
 	for i := 0; i < steps; i++ {
-		t := e.Time()
-		start := time.Now()
-		e.applyEvents()
-		mark := time.Now()
-		pt.Events += mark.Sub(start)
-		e.sense()
-		start = mark
-		mark = time.Now()
-		pt.Sense += mark.Sub(start)
-		e.control(t)
-		start = mark
-		mark = time.Now()
-		pt.Control += mark.Sub(start)
-		e.serve(t)
-		start = mark
-		mark = time.Now()
-		pt.Serve += mark.Sub(start)
-		e.completeTravel(t)
-		start = mark
-		mark = time.Now()
-		pt.Travel += mark.Sub(start)
-		e.arrivals(t)
-		pt.Arrivals += time.Since(mark)
-		e.step++
+		e.stepOnce(&clock)
+		l := &clock.laps
+		pt.Events += l[0]
+		pt.Sense += l[1]
+		pt.Control += l[2]
+		pt.Serve += l[3]
+		pt.Travel += l[4]
+		pt.Arrivals += l[5]
 		pt.Steps++
-		if e.telem != nil {
-			e.flushTelemetry()
-		}
-		if e.hasStepHook {
-			for _, h := range e.hooks {
-				if h.Step != nil {
-					h.Step(e, e.step-1)
-				}
-			}
-		}
 	}
 }
 

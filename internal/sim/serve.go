@@ -18,7 +18,6 @@ package sim
 
 import (
 	"fmt"
-	"strings"
 
 	"utilbp/internal/network"
 	"utilbp/internal/queue"
@@ -41,8 +40,7 @@ const (
 	ServeReference
 )
 
-// String renders the mode in the CLI syntax accepted by
-// ParseServeMode.
+// String names the mode.
 func (m ServeMode) String() string {
 	switch m {
 	case ServeBatched:
@@ -51,18 +49,6 @@ func (m ServeMode) String() string {
 		return "reference"
 	}
 	return fmt.Sprintf("serve(%d)", int(m))
-}
-
-// ParseServeMode parses the CLI serve-mode syntax: "batched" (alias
-// "auto", the default) or "reference".
-func ParseServeMode(arg string) (ServeMode, error) {
-	switch strings.ToLower(strings.TrimSpace(arg)) {
-	case "batched", "auto", "":
-		return ServeBatched, nil
-	case "reference":
-		return ServeReference, nil
-	}
-	return ServeBatched, fmt.Errorf("sim: unknown serve mode %q (want batched or reference)", arg)
 }
 
 // serveSite is one link's resolved serve state: the road states on both

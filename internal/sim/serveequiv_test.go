@@ -167,91 +167,3 @@ func TestBatchedServeEquivalenceWorkloads(t *testing.T) {
 		})
 	}
 }
-
-// TestBatchedServeResetWithSwitch checks the mid-sweep serve-mode
-// switch: one engine rewound through ResetWith with SetServe flipping
-// batched → reference → batched must replay each leg bit-for-bit like a
-// freshly built engine in that mode (snapshot bytes included).
-func TestBatchedServeResetWithSwitch(t *testing.T) {
-	const steps = 500
-	setup := scenario.Default()
-	setup.Seed = 13
-	built, err := setup.Build(scenario.PatternII)
-	if err != nil {
-		t.Fatal(err)
-	}
-	engine, err := sim.New(sim.Config{
-		Net:         built.Grid.Network,
-		Controllers: setup.UtilBP(),
-		Demand:      built.Demand,
-		Router:      built.Router,
-		Routes:      built.Routes,
-		Serve:       sim.ServeBatched,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	engine.Run(steps)
-
-	legs := []struct {
-		mode sim.ServeMode
-		seed uint64
-	}{
-		{sim.ServeReference, 13},
-		{sim.ServeBatched, 14},
-		{sim.ServeReference, 14},
-	}
-	for _, leg := range legs {
-		if err := engine.ResetWith(leg.seed, sim.ResetOptions{
-			Serve:    leg.mode,
-			SetServe: true,
-		}); err != nil {
-			t.Fatal(err)
-		}
-		engine.Run(steps)
-		if err := engine.CheckInvariants(); err != nil {
-			t.Fatalf("mode %v seed %d: %v", leg.mode, leg.seed, err)
-		}
-		refSetup := setup
-		refSetup.Seed = leg.seed
-		fresh := runServeTraced(t, refSetup, scenario.PatternII, refSetup.UtilBP(), leg.mode, steps, nil)
-		if engine.Totals() != fresh.engine.Totals() {
-			t.Fatalf("mode %v seed %d: switched totals %+v != fresh totals %+v",
-				leg.mode, leg.seed, engine.Totals(), fresh.engine.Totals())
-		}
-		if !bytes.Equal(engine.Snapshot(), fresh.snaps[len(fresh.snaps)-1]) {
-			t.Fatalf("mode %v seed %d: switched engine snapshot diverges from fresh run", leg.mode, leg.seed)
-		}
-	}
-}
-
-// TestParseServeMode pins the CLI serve-mode syntax.
-func TestParseServeMode(t *testing.T) {
-	cases := []struct {
-		arg  string
-		want sim.ServeMode
-		ok   bool
-	}{
-		{"batched", sim.ServeBatched, true},
-		{"auto", sim.ServeBatched, true},
-		{"", sim.ServeBatched, true},
-		{" Reference ", sim.ServeReference, true},
-		{"reference", sim.ServeReference, true},
-		{"slab", 0, false},
-	}
-	for _, c := range cases {
-		got, err := sim.ParseServeMode(c.arg)
-		if c.ok != (err == nil) {
-			t.Fatalf("ParseServeMode(%q) error = %v, want ok=%v", c.arg, err, c.ok)
-		}
-		if err == nil && got != c.want {
-			t.Fatalf("ParseServeMode(%q) = %v, want %v", c.arg, got, c.want)
-		}
-	}
-	if got, want := sim.ServeBatched.String(), "batched"; got != want {
-		t.Fatalf("ServeBatched.String() = %q, want %q", got, want)
-	}
-	if got, want := sim.ServeReference.String(), "reference"; got != want {
-		t.Fatalf("ServeReference.String() = %q, want %q", got, want)
-	}
-}

@@ -62,47 +62,14 @@ func (tl *TraceLog) append(step int, d [NumSubsteps]time.Duration) {
 }
 
 // RunTraced advances the simulation like Run while recording every
-// step's substep durations into tl. It is behaviorally identical to
-// Run (same state evolution, same telemetry flush, same hooks); only
-// the timing instrumentation differs — the timeline counterpart of
-// RunTimed's aggregate split.
+// step's substep durations into tl: it drives the same step loop as
+// Run with a clock and appends its laps — the timeline counterpart of
+// RunTimed's aggregate split. State evolution, telemetry flush and
+// hooks are identical to Run.
 func (e *Engine) RunTraced(steps int, tl *TraceLog) {
+	var clock substepClock
 	for i := 0; i < steps; i++ {
-		t := e.Time()
-		var d [NumSubsteps]time.Duration
-		start := time.Now()
-		e.applyEvents()
-		mark := time.Now()
-		d[0] = mark.Sub(start)
-		e.sense()
-		start = mark
-		mark = time.Now()
-		d[1] = mark.Sub(start)
-		e.control(t)
-		start = mark
-		mark = time.Now()
-		d[2] = mark.Sub(start)
-		e.serve(t)
-		start = mark
-		mark = time.Now()
-		d[3] = mark.Sub(start)
-		e.completeTravel(t)
-		start = mark
-		mark = time.Now()
-		d[4] = mark.Sub(start)
-		e.arrivals(t)
-		d[5] = time.Since(mark)
-		e.step++
-		tl.append(e.step-1, d)
-		if e.telem != nil {
-			e.flushTelemetry()
-		}
-		if e.hasStepHook {
-			for _, h := range e.hooks {
-				if h.Step != nil {
-					h.Step(e, e.step-1)
-				}
-			}
-		}
+		e.stepOnce(&clock)
+		tl.append(e.step-1, clock.laps)
 	}
 }
